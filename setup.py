@@ -1,10 +1,27 @@
-"""Setuptools shim.
+"""Setuptools metadata for the ``repro`` package.
 
-The canonical project metadata lives in ``pyproject.toml``; this file exists
-so that legacy editable installs (``pip install -e . --no-use-pep517``) work
-in offline environments that lack the ``wheel`` package.
+There is no ``pyproject.toml``: the metadata lives here so that editable
+installs (``pip install -e . --no-use-pep517``) work offline, without the
+``wheel`` package.  ``python setup.py --name --version`` prints it.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+VERSION = re.search(
+    r'^__version__ = "([^"]+)"',
+    (Path(__file__).resolve().parent / "src" / "repro" / "__init__.py").read_text(),
+    re.MULTILINE,
+).group(1)
+
+setup(
+    name="repro",
+    version=VERSION,
+    description="Path cost distribution estimation from trajectory data (PVLDB 2016)",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.10",
+    install_requires=["numpy"],
+)

@@ -19,6 +19,16 @@ re-bucketed (the same rearrangement used in Section 4.2) so the cell count
 stays bounded.  The state is held in ``numpy`` arrays so long corridors
 with many overlapping high-rank variables stay fast.
 
+Cells are grouped by integer keys, never by sorting rows.  A cell's group
+on a set of separator edges is the C-order code of its bucket indices in
+the factor's grid (:meth:`MultiHistogram.group_cells`), and such codes sort
+like the index rows.  The state carries one separator-group label per cell
+plus a small per-group table of bucket bounds, so overlap weights and the
+cost of released separator edges are computed once per group and gathered,
+and accumulated-cost bounds are formed only for the cells that survive
+pruning.  The probability share pruned along the way is reported as
+:attr:`PropagatedJoint.pruned_mass`.
+
 The propagation corresponds to the paper's "JC" (joint computation) step in
 the Figure 17 run-time breakdown; the final collapse into a one-dimensional
 cost histogram lives in :mod:`repro.core.marginal` ("MC").
@@ -26,7 +36,7 @@ cost histogram lives in :mod:`repro.core.marginal` ("MC").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -49,16 +59,19 @@ class _State:
     """Vectorised propagation state.
 
     ``agg_low`` / ``agg_high`` bound the accumulated cost of all edges whose
-    cost has already been "released"; ``sep_low`` / ``sep_high`` hold the
-    bucket bounds of each current-separator edge (columns aligned with
-    ``sep_ids``); ``prob`` is the per-cell probability.
+    cost has already been "released"; ``prob`` is the per-cell probability.
+    ``group`` labels each cell's bucket combination on the current
+    separator's edges (``sep_ids``), and row ``g`` of ``group_low`` /
+    ``group_high`` holds the bucket bounds of combination ``g`` (columns
+    aligned with ``sep_ids``).
     """
 
     agg_low: np.ndarray
     agg_high: np.ndarray
-    sep_low: np.ndarray
-    sep_high: np.ndarray
     prob: np.ndarray
+    group: np.ndarray
+    group_low: np.ndarray
+    group_high: np.ndarray
     sep_ids: tuple[int, ...]
 
     @property
@@ -76,6 +89,11 @@ class PropagatedJoint:
     for paper-facing code.  Collapsed cost histograms are memoised per
     ``max_buckets``, so a batch of budget queries that share one cached
     decomposition runs the MC kernel exactly once.
+
+    ``pruned_mass`` sums, over every renormalisation, the probability share
+    dropped just before it (cells below the prune threshold and cells past
+    the state-size cap): an upper bound on the mass the estimate lost, and
+    equal to it to first order.
     """
 
     decomposition: Decomposition
@@ -84,6 +102,7 @@ class PropagatedJoint:
     cell_probs: np.ndarray
     entropy: float
     n_cells_processed: int
+    pruned_mass: float
     _collapse_cache: dict[int | None, Histogram1D] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -136,8 +155,7 @@ def decomposition_entropy(decomposition: Decomposition) -> float:
     for later_element, separator in zip(decomposition.elements[1:], decomposition.separators()):
         if separator is None:
             continue
-        joint = later_element.variable.joint()
-        total -= joint.marginal(list(separator.edge_ids)).entropy()
+        total -= _marginal_entropy(later_element.variable.joint(), separator.edge_ids)
     return total
 
 
@@ -152,18 +170,18 @@ def propagate_joint(
     elements = decomposition.elements
     separators = decomposition.separators()
     n_elements = len(elements)
-    n_cells_processed = 0
 
     state = _initial_state(elements[0].variable.joint(), _separator_ids(separators, 0, n_elements))
-    n_cells_processed += state.n_cells
-    state = _consolidate(state, max_aggregate_buckets, max_state_cells)
+    n_cells_processed = state.n_cells
+    state, pruned_mass = _consolidate(state, max_aggregate_buckets, max_state_cells)
 
     for index in range(1, n_elements):
         factor = elements[index].variable.joint()
         sep_next_ids = _separator_ids(separators, index, n_elements)
-        state = _propagate_step(state, factor, sep_next_ids)
+        state, step_pruned = _propagate_step(state, factor, sep_next_ids)
         n_cells_processed += state.n_cells
-        state = _consolidate(state, max_aggregate_buckets, max_state_cells)
+        state, cap_pruned = _consolidate(state, max_aggregate_buckets, max_state_cells)
+        pruned_mass += step_pruned + cap_pruned
 
     highs = np.maximum(state.agg_high, state.agg_low + _MIN_WIDTH)
     keep = state.prob > 0.0
@@ -176,6 +194,7 @@ def propagate_joint(
         cell_probs=state.prob[keep],
         entropy=decomposition_entropy(decomposition),
         n_cells_processed=n_cells_processed,
+        pruned_mass=pruned_mass,
     )
 
 
@@ -190,100 +209,98 @@ def _separator_ids(separators, index: int, n_elements: int) -> tuple[int, ...]:
     return separator.edge_ids if separator is not None else ()
 
 
-def _cell_bounds(joint: MultiHistogram, dims: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell bucket lower/upper bounds of the given dims, shape (n_cells, len(dims))."""
-    n_cells = joint.n_hyper_buckets()
-    lows = np.zeros((n_cells, len(dims)))
-    highs = np.zeros((n_cells, len(dims)))
-    indices = joint.cell_indices
+def _marginal_entropy(joint: MultiHistogram, dims: tuple[int, ...]) -> float:
+    """``joint.marginal(dims).entropy()``, from grouped masses, bit for bit."""
+    labels, keys = joint.group_cells(dims)
+    masses = np.bincount(labels, weights=joint.cell_probabilities, minlength=keys.shape[0])
+    probs = masses / masses.sum()
+    lows, highs = _bounds(joint, dims, keys)
+    return float(-np.sum(probs * (np.log(probs) - np.log(highs - lows).sum(axis=1))))
+
+
+def _bounds(joint: MultiHistogram, dims, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bucket lower/upper bounds of the index ``rows`` (columns aligned with ``dims``)."""
+    lows, highs = np.empty(rows.shape), np.empty(rows.shape)
     for column, dim in enumerate(dims):
-        axis = joint.axis_of(dim)
-        edges = np.asarray(joint.boundaries_of(dim))
-        lows[:, column] = edges[indices[:, axis]]
-        highs[:, column] = edges[indices[:, axis] + 1]
+        edges = joint.boundaries_of(dim)
+        lows[:, column], highs[:, column] = edges[rows[:, column]], edges[rows[:, column] + 1]
     return lows, highs
+
+
+def _released_sums(joint: MultiHistogram, dims: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell sums of the bucket lower/upper bounds of the given dims."""
+    rows = joint.cell_indices[:, [joint.axis_of(dim) for dim in dims]]
+    lows, highs = _bounds(joint, dims, rows)
+    return lows.sum(axis=1), highs.sum(axis=1)
+
+
+def _separator_groups(joint: MultiHistogram, sep_ids: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Each cell's separator group, and every group's bucket bounds per separator edge."""
+    if not sep_ids:
+        return np.zeros(joint.n_hyper_buckets(), dtype=np.int64), np.zeros((1, 0)), np.zeros((1, 0))
+    labels, keys = joint.group_cells(sep_ids)
+    return (labels, *_bounds(joint, sep_ids, keys))
 
 
 def _initial_state(joint: MultiHistogram, sep_ids: tuple[int, ...]) -> _State:
     """Turn the first element's joint histogram into the propagation state."""
-    released_dims = [dim for dim in joint.dims if dim not in sep_ids]
-    release_low, release_high = _cell_bounds(joint, released_dims)
-    sep_low, sep_high = _cell_bounds(joint, list(sep_ids))
-    return _State(
-        agg_low=release_low.sum(axis=1),
-        agg_high=release_high.sum(axis=1),
-        sep_low=sep_low,
-        sep_high=sep_high,
-        prob=np.asarray(joint.cell_probabilities, dtype=float).copy(),
-        sep_ids=sep_ids,
-    )
+    agg_low, agg_high = _released_sums(joint, [dim for dim in joint.dims if dim not in sep_ids])
+    prob = np.asarray(joint.cell_probabilities, dtype=float).copy()
+    return _State(agg_low, agg_high, prob, *_separator_groups(joint, sep_ids), sep_ids)
+
+
+def _prune(new_prob: np.ndarray, n_factor_cells: int) -> tuple[np.ndarray, ...]:
+    """Keep the (state cell, factor cell) pairs above the prune threshold.
+
+    ``new_prob`` is the flattened ``(n_state, n_factor_cells)`` product.
+    Returns the kept pairs' state rows and factor cells, their renormalised
+    probabilities, and the probability share dropped.
+    """
+    keep = new_prob > _PRUNE_THRESHOLD
+    if not np.any(keep):
+        keep = new_prob > 0.0
+    flat = np.flatnonzero(keep)
+    if flat.size == 0:
+        raise EstimationError("joint propagation lost all probability mass")
+    kept = new_prob[flat]
+    kept_mass = kept.sum()
+    dropped = 0.0
+    if flat.size < new_prob.size:
+        dropped_mass = new_prob[~keep].sum()
+        dropped = float(dropped_mass / (dropped_mass + kept_mass))
+    rows, cols = np.divmod(flat, n_factor_cells)
+    return rows, cols, kept / kept_mass, dropped
 
 
 def _propagate_step(
     state: _State,
     factor: MultiHistogram,
     sep_next_ids: tuple[int, ...],
-) -> _State:
-    """Absorb one more decomposition element into the propagation state."""
+) -> tuple[_State, float]:
+    """Absorb one more decomposition element; also returns the probability share pruned."""
     sep_prev_ids = state.sep_ids
     sep_prev_set = set(sep_prev_ids)
     sep_next_set = set(sep_next_ids)
 
     factor_prob = np.asarray(factor.cell_probabilities, dtype=float)
-    n_factor_cells = factor_prob.shape[0]
-
-    if not sep_prev_ids and not sep_next_ids:
-        # Separator-free step (disjoint consecutive elements, the dominant
-        # case on sparse graphs): Equation 2 degenerates to an independent
-        # convolution, so skip the grouping/weighting machinery entirely.
-        release_low, release_high = _cell_bounds(factor, list(factor.dims))
-        factor_low = release_low.sum(axis=1)
-        factor_high = release_high.sum(axis=1)
-        new_prob = (state.prob[:, None] * factor_prob[None, :]).reshape(-1)
-        keep = new_prob > _PRUNE_THRESHOLD
-        if not np.any(keep):
-            keep = new_prob > 0.0
-        if not np.any(keep):
-            raise EstimationError("joint propagation lost all probability mass")
-        new_prob = new_prob[keep]
-        n_kept = new_prob.shape[0]
-        return _State(
-            agg_low=(state.agg_low[:, None] + factor_low[None, :]).reshape(-1)[keep],
-            agg_high=(state.agg_high[:, None] + factor_high[None, :]).reshape(-1)[keep],
-            sep_low=np.zeros((n_kept, 0)),
-            sep_high=np.zeros((n_kept, 0)),
-            prob=new_prob / new_prob.sum(),
-            sep_ids=(),
-        )
 
     # Group the factor's cells by their bucket indices on the previous
     # separator's dimensions; the group masses are the denominators of Eq. 2.
+    # A step without one (disjoint consecutive elements, the dominant case
+    # on sparse graphs) is an independent convolution.
     if sep_prev_ids:
-        prev_axes = [factor.axis_of(dim) for dim in sep_prev_ids]
-        prev_index_matrix = np.asarray(factor.cell_indices)[:, prev_axes]
-        group_keys, group_id = np.unique(prev_index_matrix, axis=0, return_inverse=True)
-        n_groups = group_keys.shape[0]
-        group_mass = np.zeros(n_groups)
-        np.add.at(group_mass, group_id, factor_prob)
-    else:
-        group_keys = np.zeros((1, 0), dtype=int)
-        group_id = np.zeros(n_factor_cells, dtype=int)
-        group_mass = np.array([1.0])
-        n_groups = 1
+        factor_group, group_keys = factor.group_cells(sep_prev_ids)
+        group_mass = np.bincount(factor_group, weights=factor_prob, minlength=group_keys.shape[0])
+        conditional = factor_prob / group_mass[factor_group]
 
-    conditional = factor_prob / group_mass[group_id]
-
-    # Overlap weights between the state's separator buckets and the factor's
-    # separator bucket groups: shape (n_state, n_groups).
-    n_state = state.n_cells
-    if sep_prev_ids:
-        weights = np.ones((n_state, n_groups))
-        for column, dim in enumerate(sep_prev_ids):
-            edges = np.asarray(factor.boundaries_of(dim))
-            group_low = edges[group_keys[:, column]]
-            group_high = edges[group_keys[:, column] + 1]
-            state_low = state.sep_low[:, column][:, None]
-            state_high = state.sep_high[:, column][:, None]
+        # Overlap weights between the state's separator groups and the
+        # factor's: shape (n_state_groups, n_factor_groups).
+        weights = np.ones((state.group_low.shape[0], group_keys.shape[0]))
+        factor_lows, factor_highs = _bounds(factor, sep_prev_ids, group_keys)
+        for column in range(len(sep_prev_ids)):
+            group_low, group_high = factor_lows[:, column], factor_highs[:, column]
+            state_low = state.group_low[:, column][:, None]
+            state_high = state.group_high[:, column][:, None]
             overlap = np.clip(
                 np.minimum(state_high, group_high[None, :]) - np.maximum(state_low, group_low[None, :]),
                 0.0,
@@ -294,53 +311,38 @@ def _propagate_step(
         row_totals = weights.sum(axis=1, keepdims=True)
         fallback = (group_mass / group_mass.sum())[None, :]
         weights = np.where(row_totals > 0.0, weights / np.maximum(row_totals, _MIN_WIDTH), fallback)
-    else:
-        weights = np.ones((n_state, 1))
 
-    # Probability of each (state cell, factor cell) combination.
-    combined_prob = (state.prob[:, None] * weights[:, group_id]) * conditional[None, :]
+        # Probability of each (state cell, factor cell) combination.
+        combined_prob = weights[:, factor_group][state.group]
+        combined_prob *= state.prob[:, None]
+        combined_prob *= conditional[None, :]
 
-    # Accumulated-cost contributions.
-    state_keep_mask = np.array([dim in sep_next_set for dim in sep_prev_ids], dtype=bool)
-    if sep_prev_ids:
-        state_release_low = state.agg_low + (state.sep_low[:, ~state_keep_mask]).sum(axis=1)
-        state_release_high = state.agg_high + (state.sep_high[:, ~state_keep_mask]).sum(axis=1)
+        # Released separator edges' cost, once per state group.
+        released = np.array([dim not in sep_next_set for dim in sep_prev_ids], dtype=bool)
+        state_release_low = state.agg_low + state.group_low[:, released].sum(axis=1)[state.group]
+        state_release_high = state.agg_high + state.group_high[:, released].sum(axis=1)[state.group]
     else:
+        combined_prob = np.multiply.outer(state.prob, factor_prob)
         state_release_low = state.agg_low
         state_release_high = state.agg_high
 
-    factor_new_dims = [dim for dim in factor.dims if dim not in sep_prev_set]
-    factor_release_dims = [dim for dim in factor_new_dims if dim not in sep_next_set]
-    release_low, release_high = _cell_bounds(factor, factor_release_dims)
-    factor_release_low = release_low.sum(axis=1)
-    factor_release_high = release_high.sum(axis=1)
+    factor_release_dims = [
+        dim for dim in factor.dims if dim not in sep_prev_set and dim not in sep_next_set
+    ]
+    factor_release_low, factor_release_high = _released_sums(factor, factor_release_dims)
+    next_group, next_low, next_high = _separator_groups(factor, sep_next_ids)
 
-    next_sep_low, next_sep_high = _cell_bounds(factor, list(sep_next_ids))
-
-    new_agg_low = (state_release_low[:, None] + factor_release_low[None, :]).reshape(-1)
-    new_agg_high = (state_release_high[:, None] + factor_release_high[None, :]).reshape(-1)
-    new_prob = combined_prob.reshape(-1)
-    new_sep_low = np.tile(next_sep_low, (n_state, 1))
-    new_sep_high = np.tile(next_sep_high, (n_state, 1))
-
-    keep = new_prob > _PRUNE_THRESHOLD
-    if not np.any(keep):
-        keep = new_prob > 0.0
-    if not np.any(keep):
-        raise EstimationError("joint propagation lost all probability mass")
-    new_prob = new_prob[keep]
-    new_prob = new_prob / new_prob.sum()
+    rows, cols, prob, dropped = _prune(combined_prob.reshape(-1), factor_prob.shape[0])
     return _State(
-        agg_low=new_agg_low[keep],
-        agg_high=new_agg_high[keep],
-        sep_low=new_sep_low[keep],
-        sep_high=new_sep_high[keep],
-        prob=new_prob,
-        sep_ids=sep_next_ids,
-    )
+        state_release_low[rows] + factor_release_low[cols],
+        state_release_high[rows] + factor_release_high[cols],
+        prob, next_group[cols], next_low, next_high, sep_next_ids,
+    ), dropped
 
 
-def _consolidate(state: _State, max_aggregate_buckets: int, max_state_cells: int) -> _State:
+def _consolidate(
+    state: _State, max_aggregate_buckets: int, max_state_cells: int
+) -> tuple[_State, float]:
     """Bound the state size by re-bucketing the accumulated-cost dimension.
 
     Cells are grouped by their separator bucket combination; every group's
@@ -350,12 +352,11 @@ def _consolidate(state: _State, max_aggregate_buckets: int, max_state_cells: int
     kernel pass (:func:`repro.histograms.kernels.grouped_rearrange_coarsen`)
     rather than a per-group Python loop.  If the state is still too large
     afterwards, the lowest-probability cells are pruned (and the remainder
-    renormalised).
+    renormalised); the probability share pruned is returned with the state.
     """
     if not np.any(state.prob > 0.0):
         raise EstimationError("joint propagation lost all probability mass")
-    n_sep = state.sep_low.shape[1] if state.sep_low.ndim == 2 else 0
-    if n_sep == 0:
+    if not state.sep_ids:
         # One group only: rearrange/coarsen directly, skipping the grouped
         # kernel's windowing machinery (and, matching it, leave states
         # already within the cap untouched).
@@ -364,65 +365,47 @@ def _consolidate(state: _State, max_aggregate_buckets: int, max_state_cells: int
         else:
             highs = np.maximum(state.agg_high, state.agg_low + _MIN_WIDTH)
             cells = kernels.rearrange(state.agg_low, highs, state.prob, normalize=False)
-            cells = kernels.truncate_to_max_buckets(*cells, max_aggregate_buckets)
-            new_state = _State(
-                agg_low=cells[0],
-                agg_high=cells[1],
-                sep_low=np.zeros((cells[2].shape[0], 0)),
-                sep_high=np.zeros((cells[2].shape[0], 0)),
-                prob=cells[2],
-                sep_ids=state.sep_ids,
+            lows, highs, probs = kernels.truncate_to_max_buckets(*cells, max_aggregate_buckets)
+            new_state = replace(
+                state, agg_low=lows, agg_high=highs, prob=probs,
+                group=np.zeros(probs.shape[0], dtype=np.int64),
             )
         return _bound_and_normalise(new_state, max_state_cells)
 
-    combined = np.concatenate([state.sep_low, state.sep_high], axis=1)
-    _, group_labels = np.unique(np.round(combined, 9), axis=0, return_inverse=True)
-    group_labels = np.asarray(group_labels).ravel()
-    n_groups = int(group_labels.max()) + 1
-
-    # First original row of each group, for re-expanding the separator
-    # columns (reversed fancy assignment keeps the earliest index).
-    representative = np.zeros(n_groups, dtype=np.int64)
-    representative[group_labels[::-1]] = np.arange(state.n_cells - 1, -1, -1)
+    # Renumber the separator groups still present densely, keeping their
+    # (lexicographic bucket-index) order, as the grouped kernel expects.
+    present = np.bincount(state.group, minlength=state.group_low.shape[0]) > 0
+    labels = (np.cumsum(present) - 1)[state.group]
 
     highs = np.maximum(state.agg_high, state.agg_low + _MIN_WIDTH)
     out_lows, out_highs, out_probs, out_groups = kernels.grouped_rearrange_coarsen(
-        state.agg_low, highs, state.prob, group_labels, max_aggregate_buckets
+        state.agg_low, highs, state.prob, labels, max_aggregate_buckets
     )
-
-    rows = representative[out_groups]
     new_state = _State(
-        agg_low=out_lows,
-        agg_high=out_highs,
-        sep_low=state.sep_low[rows],
-        sep_high=state.sep_high[rows],
-        prob=out_probs,
-        sep_ids=state.sep_ids,
+        out_lows, out_highs, out_probs, out_groups,
+        state.group_low[present], state.group_high[present], state.sep_ids,
     )
     return _bound_and_normalise(new_state, max_state_cells)
 
 
-def _bound_and_normalise(state: _State, max_state_cells: int) -> _State:
-    """Prune the lowest-probability cells past the cap and renormalise."""
+def _bound_and_normalise(state: _State, max_state_cells: int) -> tuple[_State, float]:
+    """Prune the lowest-probability cells past the cap and renormalise.
+
+    Returns the state and the probability share pruned.
+    """
+    dropped = 0.0
     if state.n_cells > max_state_cells:
-        order = np.argsort(state.prob)[::-1][:max_state_cells]
-        state = _State(
+        order = np.argsort(state.prob)[::-1]
+        dropped = float(state.prob[order[max_state_cells:]].sum() / state.prob.sum())
+        order = order[:max_state_cells]
+        state = replace(
+            state,
             agg_low=state.agg_low[order],
             agg_high=state.agg_high[order],
-            sep_low=state.sep_low[order],
-            sep_high=state.sep_high[order],
             prob=state.prob[order],
-            sep_ids=state.sep_ids,
+            group=state.group[order],
         )
     total = state.prob.sum()
     if total <= 0.0:
         raise EstimationError("joint propagation lost all probability mass")
-    state = _State(
-        agg_low=state.agg_low,
-        agg_high=state.agg_high,
-        sep_low=state.sep_low,
-        sep_high=state.sep_high,
-        prob=state.prob / total,
-        sep_ids=state.sep_ids,
-    )
-    return state
+    return replace(state, prob=state.prob / total), dropped

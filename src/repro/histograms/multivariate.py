@@ -15,45 +15,16 @@ the full bucket grid would be astronomically large.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..exceptions import HistogramError
 from . import kernels
-from .univariate import Bucket, Histogram1D
+from .univariate import Histogram1D
 
 #: Hard cap used when a caller asks for the dense probability tensor.
 _DENSE_CELL_LIMIT = 2_000_000
-
-
-@dataclass(frozen=True)
-class HyperBucket:
-    """One cell of a multi-dimensional histogram: one bucket per dimension."""
-
-    buckets: tuple[Bucket, ...]
-
-    @property
-    def n_dims(self) -> int:
-        return len(self.buckets)
-
-    @property
-    def summed_bounds(self) -> Bucket:
-        """The 1-D bucket whose bounds are the sums of the per-dimension bounds."""
-        lower = sum(bucket.lower for bucket in self.buckets)
-        upper = sum(bucket.upper for bucket in self.buckets)
-        return Bucket(lower, upper)
-
-    @property
-    def volume(self) -> float:
-        volume = 1.0
-        for bucket in self.buckets:
-            volume *= bucket.width
-        return volume
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return "<" + ", ".join(repr(bucket) for bucket in self.buckets) + ">"
 
 
 class MultiHistogram:
@@ -106,7 +77,8 @@ class MultiHistogram:
         if not np.isclose(total, 1.0, atol=1e-3):
             raise HistogramError(f"hyper-bucket probabilities must sum to 1, got {total:.6f}")
 
-        indices, probs = _deduplicate_cells(indices, probs / total)
+        shape = [edges.size - 1 for edges in cleaned]
+        indices, probs = _deduplicate_cells(indices, probs / total, shape)
         keep = probs > 0
         self._dims = tuple(int(d) for d in dims)
         self._boundaries = tuple(cleaned)
@@ -265,22 +237,6 @@ class MultiHistogram:
         """Number of occupied hyper-buckets."""
         return int(self._indices.shape[0])
 
-    def bucket_of(self, dim: int, index: int) -> Bucket:
-        """The ``index``-th bucket of dimension ``dim``."""
-        edges = self._boundaries[self.axis_of(dim)]
-        if not 0 <= index < edges.size - 1:
-            raise HistogramError(f"bucket index {index} out of range for dimension {dim}")
-        return Bucket(float(edges[index]), float(edges[index + 1]))
-
-    def hyper_buckets(self) -> Iterator[tuple[HyperBucket, float]]:
-        """Iterate over occupied ``(hyper-bucket, probability)`` pairs."""
-        for row, prob in zip(self._indices, self._probs):
-            buckets = tuple(
-                Bucket(float(edges[i]), float(edges[i + 1]))
-                for edges, i in zip(self._boundaries, row)
-            )
-            yield HyperBucket(buckets), float(prob)
-
     def storage_size(self) -> int:
         """Scalars needed to store the histogram (boundaries + occupied cells)."""
         n_boundaries = sum(edges.size for edges in self._boundaries)
@@ -318,10 +274,25 @@ class MultiHistogram:
         if not dims:
             raise HistogramError("need at least one dimension to marginalise onto")
         axes = [self.axis_of(dim) for dim in dims]
-        projected = self._indices[:, axes]
-        indices, probs = _deduplicate_cells(projected, self._probs)
         boundaries = [self._boundaries[axis] for axis in axes]
+        indices, probs = _deduplicate_cells(
+            self._indices[:, axes], self._probs, [edges.size - 1 for edges in boundaries]
+        )
         return MultiHistogram(list(dims), boundaries, indices, probs)
+
+    def group_cells(self, dims: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Group the occupied cells by their bucket indices on ``dims``.
+
+        Returns ``(labels, keys)``: each cell's group label and every
+        group's bucket indices, shape ``(n_groups, len(dims))``.  Labels
+        number the groups in the lexicographic order of their keys, but
+        come from integer grid codes, without sorting rows.  No dims means
+        one group.
+        """
+        axes = [self.axis_of(dim) for dim in dims]
+        rows = self._indices[:, axes]
+        labels, first = _group_rows(rows, [self._boundaries[axis].size - 1 for axis in axes])
+        return labels, rows[first]
 
     def marginal_1d(self, dim: int) -> Histogram1D:
         """Marginal distribution of one dimension as a 1-D histogram."""
@@ -399,11 +370,34 @@ class MultiHistogram:
         )
 
 
-def _deduplicate_cells(indices: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sum probabilities of duplicate index rows."""
+#: Largest grid-code span kept before partial codes are compacted to ranks.
+_MAX_CODE_SPAN = 1 << 62
+
+
+def _group_rows(rows: np.ndarray, shape: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Dense group labels of integer rows (lexicographic order) and each group's first row.
+
+    A row's code is its C-order flat index in a grid of ``shape``, so codes
+    sort like the rows.  Where the grid outgrows ``int64``, the partial
+    codes are first replaced by their ranks, which keeps their order.
+    """
+    codes = np.zeros(rows.shape[0], dtype=np.int64)
+    span = 1
+    for column, size in zip(rows.T, shape):
+        if span * size > _MAX_CODE_SPAN:
+            codes = np.unique(codes, return_inverse=True)[1].astype(np.int64)
+            span = int(codes.max()) + 1
+        codes = codes * size + column
+        span *= size
+    _, first, labels = np.unique(codes, return_index=True, return_inverse=True)
+    return labels, first
+
+
+def _deduplicate_cells(
+    indices: np.ndarray, probs: np.ndarray, shape: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sum probabilities of duplicate index rows (rows sorted, sums in row order)."""
     if indices.shape[0] == 0:
         return indices, probs
-    unique, inverse = np.unique(indices, axis=0, return_inverse=True)
-    summed = np.zeros(unique.shape[0])
-    np.add.at(summed, inverse, probs)
-    return unique, summed
+    labels, first = _group_rows(indices, shape)
+    return indices[first], np.bincount(labels, weights=probs, minlength=first.size)
